@@ -118,7 +118,8 @@ bool PoolShard::validate_superblock(pmem::Pool& pool) {
   // collision must still not drive out-of-bounds arithmetic.
   if (sb->nsubheaps == 0 || sb->nsubheaps > kMaxSubheaps ||
       sb->levels_max == 0 || sb->levels_max > kMaxHashLevels ||
-      sb->level0_slots < kProbeWindow || sb->user_size == 0 ||
+      sb->level0_slots < kProbeWindow ||
+      (sb->level0_slots & (sb->level0_slots - 1)) != 0 || sb->user_size == 0 ||
       (sb->user_size & (sb->user_size - 1)) != 0) {
     throw Error(ErrorCode::kCorruptSuperblock,
                 pool.path() + ": superblock geometry out of bounds");
@@ -216,7 +217,7 @@ bool PoolShard::scavenge_subheap(unsigned idx, FsckReport* rep) {
           rec.size_class <= top &&
           (off & ((std::uint64_t{1} << rec.size_class) - 1)) == 0 &&
           (rec.status == kBlockFree || rec.status == kBlockAllocated) &&
-          (i + slots - HashTable::hash_of(off) % slots) % slots < kProbeWindow;
+          HashTable::in_window(HashTable::hash_of(off), slots, i);
       if (!ok) {
         ++dropped;
         continue;

@@ -1,19 +1,40 @@
 #include "core/hash_table.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "pmem/persist.hpp"
 
 namespace poseidon::core {
 
+unsigned HashTable::probe_order(unsigned (&order)[kMaxHashLevels]) const
+    noexcept {
+  // Stable insertion sort by descending level_count over at most
+  // kMaxHashLevels entries: a level moves ahead only of strictly emptier
+  // ones, so ties keep the lower level first.
+  const unsigned n = std::min<unsigned>(meta_->levels_active, kMaxHashLevels);
+  for (unsigned lvl = 0; lvl < n; ++lvl) {
+    const std::uint64_t count = meta_->level_count[lvl];
+    unsigned j = lvl;
+    for (; j > 0 && meta_->level_count[order[j - 1]] < count; --j) {
+      order[j] = order[j - 1];
+    }
+    order[j] = lvl;
+  }
+  return n;
+}
+
 MemblockRec* HashTable::find(std::uint64_t block_off) noexcept {
   const std::uint64_t key = block_off + 1;
   const std::uint64_t h = hash_of(block_off);
-  for (unsigned lvl = 0; lvl < meta_->levels_active; ++lvl) {
+  unsigned order[kMaxHashLevels];
+  const unsigned n = probe_order(order);
+  for (unsigned i = 0; i < n; ++i) {
+    const unsigned lvl = order[i];
     const std::uint64_t slots = level_slots(meta_->level0_slots, lvl);
-    const std::uint64_t start = h % slots;
-    for (unsigned w = 0; w < kProbeWindow && w < slots; ++w) {
-      MemblockRec* rec = slot(lvl, (start + w) % slots);
+    MemblockRec* level = level_base(lvl);
+    for (unsigned w = 0; w < kProbeWindow; ++w) {
+      MemblockRec* rec = level + window_slot(h, slots, w);
       if (rec->key == key) return rec;
     }
   }
@@ -23,18 +44,22 @@ MemblockRec* HashTable::find(std::uint64_t block_off) noexcept {
 MemblockRec* HashTable::insert(std::uint64_t block_off, UndoLogger& undo) {
   assert(find(block_off) == nullptr && "duplicate memblock record");
   const std::uint64_t h = hash_of(block_off);
+  unsigned inspected = 0;
   for (unsigned lvl = 0; lvl < meta_->levels_active; ++lvl) {
     const std::uint64_t slots = level_slots(meta_->level0_slots, lvl);
-    const std::uint64_t start = h % slots;
-    for (unsigned w = 0; w < kProbeWindow && w < slots; ++w) {
-      MemblockRec* rec = slot(lvl, (start + w) % slots);
+    // A full level has no empty slot in any window: skipping it leaves
+    // placement unchanged and saves kProbeWindow reads.
+    if (meta_->level_count[lvl] >= slots) continue;
+    MemblockRec* level = level_base(lvl);
+    for (unsigned w = 0; w < kProbeWindow; ++w, ++inspected) {
+      MemblockRec* rec = level + window_slot(h, slots, w);
       if (rec->key != 0) continue;
-      // Probe distance = slots inspected before this claim, across levels
-      // (the paper's O(1) bound: <= levels_active * kProbeWindow).  Sampled:
-      // the histogram records a shape, and inserts are per-block-split, so
-      // an unconditional bucket RMW here shows up in the overhead budget.
+      // Probe distance = occupied slots inspected before this claim (full
+      // levels are never inspected).  Sampled: the histogram records a
+      // shape, and inserts are per-block-split, so an unconditional bucket
+      // RMW here shows up in the overhead budget.
       if (metrics_ != nullptr && obs::latency_sample_tick()) {
-        metrics_->probe_len.add(lvl * kProbeWindow + w);
+        metrics_->probe_len.add(inspected);
       }
       undo.save_obj(*rec);
       undo.save_obj(meta_->level_count[lvl]);

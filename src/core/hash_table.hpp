@@ -1,10 +1,18 @@
 // Multi-level hash table of memblock records (paper §4.4, §5.2).
 //
-// Level i holds level0 * 2^i slots; a key probes a bounded linear window
-// (kProbeWindow slots, wrapping within the level) at every active level.
-// Lookups are O(levels * window) = O(1) in the heap size — the paper's
-// constant-time claim — and deletion simply clears the slot because a probe
-// never stops early at an empty slot.
+// Level i holds level0 * 2^i slots, and level0 is a power of two, so every
+// level is one.  A key probes a bounded linear window (kProbeWindow slots
+// from hash & (slots - 1), wrapping by the same mask) at every active
+// level: no division anywhere.  Lookups are O(levels * window) = O(1) in
+// the heap size — the paper's constant-time claim — and deletion simply
+// clears the slot because a probe never stops early at an empty slot.
+//
+// find() probes the active levels fullest first (descending level_count,
+// ties lower level first).  Keys are unique, so the order changes only the
+// work: a hit usually lands in the first window scanned.  insert() still
+// claims the first empty slot from level 0 upward, so placement does not
+// depend on the counters, but it skips levels whose count says they are
+// full (no empty slot in any window).
 //
 // When every window is full the sub-heap first tries to *defragment* —
 // merge free buddy pairs whose records occupy the probed windows — and only
@@ -66,9 +74,9 @@ class HashTable {
     const std::uint64_t h = hash_of(block_off);
     for (unsigned lvl = 0; lvl < meta_->levels_active; ++lvl) {
       const std::uint64_t slots = level_slots(meta_->level0_slots, lvl);
-      const std::uint64_t start = h % slots;
-      for (unsigned w = 0; w < kProbeWindow && w < slots; ++w) {
-        MemblockRec* rec = slot(lvl, (start + w) % slots);
+      MemblockRec* level = level_base(lvl);
+      for (unsigned w = 0; w < kProbeWindow; ++w) {
+        MemblockRec* rec = level + window_slot(h, slots, w);
         if (rec->key != 0) f(rec);
       }
     }
@@ -81,12 +89,27 @@ class HashTable {
     return mix64(block_off >> kMinBlockShift);
   }
 
- private:
-  MemblockRec* slot(unsigned level, std::uint64_t idx) noexcept {
-    return storage_ + level_offset(meta_->level0_slots, level) /
-                          sizeof(MemblockRec) +
-           idx;
+  // Probe-window placement, the one definition every user shares.  In a
+  // level of `slots` slots (a power of two), probe `w` of hash `h` is slot
+  // window_slot(h, slots, w); slot `idx` lies in h's window iff
+  // in_window(h, slots, idx).
+  static std::uint64_t window_slot(std::uint64_t h, std::uint64_t slots,
+                                   unsigned w) noexcept {
+    return (h + w) & (slots - 1);
   }
+  static bool in_window(std::uint64_t h, std::uint64_t slots,
+                        std::uint64_t idx) noexcept {
+    return ((idx - h) & (slots - 1)) < kProbeWindow;
+  }
+
+ private:
+  MemblockRec* level_base(unsigned level) noexcept {
+    return storage_ + level_offset(meta_->level0_slots, level) /
+                          sizeof(MemblockRec);
+  }
+  // Fills `order` with the active levels, fullest first (ties: lower level
+  // first); returns how many.
+  unsigned probe_order(unsigned (&order)[kMaxHashLevels]) const noexcept;
   // Which level a slot pointer belongs to (for count bookkeeping).
   unsigned level_of(const MemblockRec* rec) const noexcept;
 

@@ -356,8 +356,9 @@ constexpr std::uint64_t level_offset(std::uint64_t level0, unsigned i) noexcept 
 }
 
 // Computes the file layout for `nsubheaps` sub-heaps of `user_size` bytes
-// each (power of two) with `level0` slots in the first hash level
-// (multiple of 256 so every level is page aligned for hole punching).
+// each (power of two) with `level0` slots in the first hash level (a power
+// of two >= 256: every level is then a power of two, which the probe
+// windows' mask needs, and page aligned for hole punching).
 constexpr Geometry compute_geometry(unsigned nsubheaps, std::uint64_t user_size,
                                     std::uint64_t level0) noexcept {
   Geometry g{};

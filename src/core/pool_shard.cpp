@@ -31,9 +31,9 @@ namespace {
 constexpr std::uint64_t kMinUserSize = 64 * 1024;
 
 void validate_options(const Options& opts, unsigned nsubheaps) {
-  if (opts.level0_slots < kProbeWindow || opts.level0_slots % 256 != 0) {
-    throw std::invalid_argument(
-        "level0_slots must be a multiple of 256 and >= probe window");
+  if (opts.level0_slots < 256 ||
+      (opts.level0_slots & (opts.level0_slots - 1)) != 0) {
+    throw std::invalid_argument("level0_slots must be a power of two >= 256");
   }
   if (nsubheaps > kMaxSubheaps) {
     throw std::invalid_argument("too many sub-heaps");

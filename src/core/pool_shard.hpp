@@ -61,7 +61,8 @@ struct Options {
   SubheapPolicy policy = SubheapPolicy::kPerCpu;
   // Ablation only: disable undo logging ("unsafe mode").
   bool use_undo_log = true;
-  // First hash level size; multiple of 256 (page-aligned levels).
+  // First hash level size; a power of two >= 256, so every level is a
+  // power of two (probe windows wrap by mask) and page-aligned.
   std::uint64_t level0_slots = 1024;
   // Singleton allocations may fall back to other sub-heaps (and other
   // shards) when the local one is exhausted.  Transactional allocations

@@ -101,15 +101,17 @@ MemblockRec* Subheap::pop_free_head(unsigned cls, UndoLogger& undo) {
   return rec;
 }
 
-void Subheap::push_free(MemblockRec* rec, unsigned cls, bool at_tail,
-                        UndoLogger& undo) {
+void Subheap::push_free(MemblockRec* rec, unsigned cls, UndoLogger& undo) {
+  const std::uint64_t head = meta_->free_heads[cls].head;
+  MemblockRec* link = head != kNull ? table_.find(head - 1) : nullptr;
+  assert(head == kNull || link != nullptr);
+  link_free(rec, cls, /*at_tail=*/false, link, undo);
+}
+
+void Subheap::link_free(MemblockRec* rec, unsigned cls, bool at_tail,
+                        MemblockRec* link, UndoLogger& undo) {
   FreeListHead& h = meta_->free_heads[cls];
   const std::uint64_t off1 = rec->key;
-  MemblockRec* link = nullptr;  // list neighbour whose pointer changes
-  if (h.head != kNull) {
-    link = table_.find((at_tail ? h.tail : h.head) - 1);
-    assert(link != nullptr);
-  }
   undo.save_obj(h);
   undo.save_obj(*rec);
   if (link != nullptr) undo.save_obj(*link);
@@ -130,6 +132,22 @@ void Subheap::push_free(MemblockRec* rec, unsigned cls, bool at_tail,
     pmem::nv_store(rec->prev_free, kNull);
     pmem::nv_store(h.head, off1);
   }
+}
+
+void Subheap::release_to_tail(MemblockRec* rec, UndoLogger& undo) {
+  // One save group for the record, the class list head and the current
+  // tail record (its next_free changes); link_free's own saves dedupe
+  // against these.  The tail is looked up once and handed to link_free.
+  const unsigned cls = rec->size_class;
+  const FreeListHead& h = meta_->free_heads[cls];
+  MemblockRec* tail = h.tail != kNull ? table_.find(h.tail - 1) : nullptr;
+  undo.save_obj(*rec);
+  undo.save_obj(h);
+  if (tail != nullptr) undo.save_obj(*tail);
+  undo.seal();
+  pmem::nv_store(rec->status, static_cast<std::uint32_t>(kBlockFree));
+  // Tail insertion delays reuse of the just-freed block (paper §5.5).
+  link_free(rec, cls, /*at_tail=*/true, tail, undo);
 }
 
 void Subheap::remove_free(MemblockRec* rec, unsigned cls, UndoLogger& undo) {
@@ -245,7 +263,7 @@ bool Subheap::split(MemblockRec* rec, std::uint64_t off, unsigned cls,
     pmem::nv_store(on->prev_adj, boff + 1);
   }
   // Fresh halves go to the head: they are cache-hot split remainders.
-  push_free(brec, cls - 1, /*at_tail=*/false, undo);
+  push_free(brec, cls - 1, undo);
   pmem::nv_store(meta_->stat_splits, meta_->stat_splits + 1);
   pmem::flush(&meta_->stat_splits, sizeof(meta_->stat_splits));
   return true;
@@ -269,7 +287,7 @@ void Subheap::merge_pair(MemblockRec* low, MemblockRec* high, unsigned cls,
     undo.seal();
     pmem::nv_store(n->prev_adj, low->key);
   }
-  push_free(low, cls + 1, /*at_tail=*/false, undo);
+  push_free(low, cls + 1, undo);
   pmem::nv_store(meta_->stat_merges, meta_->stat_merges + 1);
   pmem::flush(&meta_->stat_merges, sizeof(meta_->stat_merges));
   // Unlike the unlogged end-of-op counter bumps, a merge can run inside an
@@ -415,19 +433,7 @@ FreeResult Subheap::free_block(std::uint64_t offset) {
   const unsigned cls = rec->size_class;
   UndoLogger undo = make_undo();
   POSEIDON_CRASH_POINT("free.begin");
-  // One save group for the whole op: the record, the class list head, the
-  // current tail record (its next_free changes), and the counters; the
-  // helpers' own saves dedupe against these.
-  undo.save_obj(*rec);
-  FreeListHead& h = meta_->free_heads[cls];
-  undo.save_obj(h);
-  if (h.tail != kNull) {
-    if (MemblockRec* t = table_.find(h.tail - 1)) undo.save_obj(*t);
-  }
-  undo.seal();
-  pmem::nv_store(rec->status, static_cast<std::uint32_t>(kBlockFree));
-  // Tail insertion delays reuse of the just-freed block (paper §5.5).
-  push_free(rec, cls, /*at_tail=*/true, undo);
+  release_to_tail(rec, undo);
   bump_counters(-1, +1,
                 -static_cast<std::int64_t>(std::uint64_t{1} << cls), undo);
   POSEIDON_CRASH_POINT("free.before_commit");
@@ -530,15 +536,7 @@ unsigned Subheap::free_batch(const std::uint64_t* offs, unsigned n) {
     if (rec == nullptr || rec->status != kBlockAllocated) continue;
     if (undo.used() + 64 > kSubheapUndoCap) commit_chunk();
     const unsigned cls = rec->size_class;
-    undo.save_obj(*rec);
-    FreeListHead& h = meta_->free_heads[cls];
-    undo.save_obj(h);
-    if (h.tail != kNull) {
-      if (MemblockRec* t = table_.find(h.tail - 1)) undo.save_obj(*t);
-    }
-    undo.seal();
-    pmem::nv_store(rec->status, static_cast<std::uint32_t>(kBlockFree));
-    push_free(rec, cls, /*at_tail=*/true, undo);
+    release_to_tail(rec, undo);
     --live_delta;
     ++free_delta;
     bytes_delta -= static_cast<std::int64_t>(std::uint64_t{1} << cls);

@@ -161,8 +161,15 @@ class Subheap {
 
   // Free-list plumbing (all undo-logged).
   MemblockRec* pop_free_head(unsigned cls, UndoLogger& undo);
-  void push_free(MemblockRec* rec, unsigned cls, bool at_tail,
-                 UndoLogger& undo);
+  // Inserts `rec` at the head of class `cls`'s free list.
+  void push_free(MemblockRec* rec, unsigned cls, UndoLogger& undo);
+  // Splices `rec` in at the tail or head; `link` is the record there
+  // (nullptr iff the list is empty), already looked up by the caller.
+  void link_free(MemblockRec* rec, unsigned cls, bool at_tail,
+                 MemblockRec* link, UndoLogger& undo);
+  // Free path: mark an allocated record free and append it to its class
+  // list's tail, looking the tail record up once.
+  void release_to_tail(MemblockRec* rec, UndoLogger& undo);
   void remove_free(MemblockRec* rec, unsigned cls, UndoLogger& undo);
 
   // Smallest class >= cls with a free block; kMaxClasses when none.

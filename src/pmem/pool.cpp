@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <sys/mman.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -10,6 +11,7 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -132,6 +134,17 @@ Pool Pool::create(const std::string& path, std::size_t size) {
     throw std::invalid_argument(path +
                                 ": exists and is not a regular file "
                                 "(Poseidon pools must be regular files)");
+  }
+  // Growing a file past the soft RLIMIT_FSIZE raises SIGXFSZ, whose
+  // default action kills the process.  Refuse up front with the EFBIG the
+  // ftruncate would report, leaving the caller's signal dispositions alone.
+  struct rlimit fsize{};
+  if (::getrlimit(RLIMIT_FSIZE, &fsize) == 0 &&
+      fsize.rlim_cur != RLIM_INFINITY && size > fsize.rlim_cur) {
+    errno = EFBIG;
+    throw_io("create pool file " + path + " of " + std::to_string(size) +
+             " bytes (RLIMIT_FSIZE is " + std::to_string(fsize.rlim_cur) +
+             ")");
   }
   const int fd = intercepted_retry_eintr(fault::SysOp::kOpen, [&] {
     return ::open(path.c_str(), O_CREAT | O_EXCL | O_RDWR, 0644);

@@ -230,6 +230,25 @@ TEST(Fsck, SuperblockAndShadowBothCorruptIsTypedError) {
   }
 }
 
+TEST(Fsck, NonPowerOfTwoLevel0IsRejectedAtOpen) {
+  // A superblock whose config checksums correctly but whose level0_slots is
+  // not a power of two: probe windows wrap by mask, so open refuses it.
+  TempHeapPath path("fsck_level0");
+  make_sealed_heap(path.str(), 1);
+  auto sb = read_super(path.str());
+  sb.level0_slots = 768;
+  sb.config_csum = core::super_config_csum(sb);
+  write_at(path.str(), 0, &sb, core::kSuperConfigBytes);
+  write_at(path.str(), offsetof(core::SuperBlock, config_csum),
+           &sb.config_csum, sizeof(sb.config_csum));
+  try {
+    auto h = Heap::open(path.str(), small_opts());
+    FAIL() << "open with level0_slots = 768 must throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.poseidon_code(), ErrorCode::kCorruptSuperblock);
+  }
+}
+
 TEST(Fsck, GarbageFileIsNotAPool) {
   TempHeapPath path("fsck_garbage");
   {

@@ -2,9 +2,14 @@
 // windows, level extension/shrink, collision handling and O(1) shape.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <random>
 #include <set>
+#include <vector>
 
 #include "core/hash_table.hpp"
 
@@ -38,7 +43,35 @@ struct HashFixture : ::testing::Test {
   SubheapMeta* meta = nullptr;
   std::unique_ptr<HashTable> table;
   std::unique_ptr<UndoLogger> undo;
+
+  MemblockRec* level_storage(unsigned lvl) const {
+    return reinterpret_cast<MemblockRec*>(buf + meta->hash_off) +
+           level_offset(kLevel0, lvl) / sizeof(MemblockRec);
+  }
+  // Occupies every slot of `lvl` with keys no test inserts, and sets the
+  // level's count to match: the level is full.
+  void fill_level(unsigned lvl) {
+    MemblockRec* l = level_storage(lvl);
+    const std::uint64_t slots = level_slots(kLevel0, lvl);
+    for (std::uint64_t i = 0; i < slots; ++i) l[i].key = kForeignKey + i;
+    meta->level_count[lvl] = slots;
+  }
+  // Activates `n` levels directly (no undo: fixture set-up).
+  void activate(unsigned n) { meta->levels_active = n; }
+
+  static constexpr std::uint64_t kForeignKey = std::uint64_t{1} << 40;
 };
+
+// First block offset (32 B aligned) whose probe window in a level of
+// `slots` slots starts at slot `start`.
+std::uint64_t offset_with_window_start(std::uint64_t slots,
+                                       std::uint64_t start) {
+  for (std::uint64_t off = 0;; off += 32) {
+    if (HashTable::window_slot(HashTable::hash_of(off), slots, 0) == start) {
+      return off;
+    }
+  }
+}
 
 TEST_F(HashFixture, InsertThenFind) {
   MemblockRec* rec = table->insert(320, *undo);
@@ -178,6 +211,184 @@ TEST_F(HashFixture, ProbeCostIsBounded) {
   }
   // A missing key far outside the inserted range.
   EXPECT_EQ(table->find(1 << 19), nullptr);
+}
+
+TEST_F(HashFixture, WindowSlotWrapsByMask) {
+  const std::uint64_t h = kLevel0 - 2;
+  EXPECT_EQ(HashTable::window_slot(h, kLevel0, 0), kLevel0 - 2);
+  EXPECT_EQ(HashTable::window_slot(h, kLevel0, 1), kLevel0 - 1);
+  EXPECT_EQ(HashTable::window_slot(h, kLevel0, 2), 0u);
+  EXPECT_EQ(HashTable::window_slot(h, kLevel0, kProbeWindow - 1),
+            kProbeWindow - 3);
+  EXPECT_TRUE(HashTable::in_window(h, kLevel0, kLevel0 - 2));
+  EXPECT_TRUE(HashTable::in_window(h, kLevel0, kProbeWindow - 3));
+  EXPECT_FALSE(HashTable::in_window(h, kLevel0, kProbeWindow - 2));
+  EXPECT_FALSE(HashTable::in_window(h, kLevel0, kLevel0 - 3));
+  // Only the low bits of the hash place the window.
+  EXPECT_EQ(HashTable::window_slot(h + 7 * kLevel0, kLevel0, 5),
+            HashTable::window_slot(h, kLevel0, 5));
+}
+
+TEST_F(HashFixture, WindowsWrapPastLevelEnd) {
+  // A window starting `d` slots before the end of a level, with those `d`
+  // slots taken: insert must wrap to slot 0, and find, visit_windows and
+  // erase must follow it there.  At level 0 and, with level 0 full, at
+  // level 1.
+  for (unsigned lvl = 0; lvl < 2; ++lvl) {
+    if (lvl == 1) {
+      activate(2);
+      fill_level(0);
+    }
+    const std::uint64_t slots = level_slots(kLevel0, lvl);
+    MemblockRec* l = level_storage(lvl);
+    for (const std::uint64_t d : {1u, 8u, kProbeWindow - 1}) {
+      SCOPED_TRACE("level " + std::to_string(lvl) + " d " + std::to_string(d));
+      const std::uint64_t off = offset_with_window_start(slots, slots - d);
+      for (std::uint64_t i = slots - d; i < slots; ++i) {
+        l[i].key = kForeignKey + i;
+      }
+      meta->level_count[lvl] = d;
+
+      MemblockRec* rec = table->insert(off, *undo);
+      ASSERT_EQ(rec, &l[0]);
+      undo->commit();
+      EXPECT_EQ(meta->level_count[lvl], d + 1);
+      EXPECT_EQ(table->find(off), rec);
+      unsigned seen = 0;
+      bool saw_rec = false;
+      table->visit_windows(off, [&](MemblockRec* r) {
+        if (r >= l && r < l + slots) ++seen;
+        saw_rec |= r == rec;
+      });
+      EXPECT_EQ(seen, d + 1);
+      EXPECT_TRUE(saw_rec);
+
+      table->erase(rec, *undo);
+      undo->commit();
+      EXPECT_EQ(table->find(off), nullptr);
+      EXPECT_EQ(meta->level_count[lvl], d);
+      for (std::uint64_t i = slots - d; i < slots; ++i) l[i].key = 0;
+      meta->level_count[lvl] = 0;
+    }
+  }
+}
+
+TEST_F(HashFixture, FindsEveryLevelUnderEveryCountOrdering) {
+  // One record per level, planted mid-window; level_count only orders the
+  // probes, so every record must be found whatever the counts say —
+  // distinct, tied, zero, and a nearly empty top level.
+  activate(kLevels);
+  std::array<std::uint64_t, kLevels> offs{};
+  for (unsigned lvl = 0; lvl < kLevels; ++lvl) {
+    offs[lvl] = (lvl + 1) * 4096;
+    const std::uint64_t slots = level_slots(kLevel0, lvl);
+    level_storage(lvl)[HashTable::window_slot(HashTable::hash_of(offs[lvl]),
+                                              slots, 5)]
+        .key = offs[lvl] + 1;
+  }
+  const std::vector<std::array<std::uint64_t, kLevels>> multisets = {
+      {1, 2, 3, 4}, {5, 5, 5, 5}, {2, 2, 9, 9}, {0, 1, 1, 7}, {1, 290, 300, 300}};
+  unsigned orderings = 0;
+  for (auto counts : multisets) {
+    std::sort(counts.begin(), counts.end());
+    do {
+      std::copy(counts.begin(), counts.end(), meta->level_count);
+      for (unsigned lvl = 0; lvl < kLevels; ++lvl) {
+        MemblockRec* rec = table->find(offs[lvl]);
+        ASSERT_NE(rec, nullptr) << "level " << lvl << " counts " << counts[0]
+                                << "," << counts[1] << "," << counts[2] << ","
+                                << counts[3];
+        EXPECT_EQ(rec->key, offs[lvl] + 1);
+      }
+      EXPECT_EQ(table->find(64 * 4096), nullptr);
+      ++orderings;
+    } while (std::next_permutation(counts.begin(), counts.end()));
+  }
+  EXPECT_EQ(orderings, 24u + 1u + 6u + 12u + 12u);
+}
+
+TEST_F(HashFixture, InsertSkipsFullLevelsAndCountsInspectedSlots) {
+  // Levels 0 and 1 full: every insert lands in level 2, and the probe
+  // histogram records the slots inspected there, not 2 * kProbeWindow plus
+  // the offset.  Sampling is 1-in-64, so 64 inserts record at least one.
+  auto metrics = std::make_unique<obs::Metrics>();
+  HashTable t(meta, buf, metrics.get());
+  activate(3);
+  fill_level(0);
+  fill_level(1);
+  MemblockRec* l2 = level_storage(2);
+  for (std::uint64_t i = 0; i < obs::kLatencySamplePeriod; ++i) {
+    MemblockRec* rec = t.insert(i * 32, *undo);
+    ASSERT_NE(rec, nullptr) << i;
+    EXPECT_TRUE(rec >= l2 && rec < l2 + level_slots(kLevel0, 2)) << i;
+    undo->commit();
+  }
+  EXPECT_EQ(meta->level_count[2], obs::kLatencySamplePeriod);
+  std::uint64_t short_probes = 0;
+  for (unsigned b = 0; b < 2 * kProbeWindow; ++b) {
+    short_probes += metrics->probe_len.bucket(b);
+  }
+  EXPECT_EQ(short_probes, metrics->probe_len.count());
+#if POSEIDON_OBS_ENABLED
+  EXPECT_GE(metrics->probe_len.count(), 1u);
+#endif
+}
+
+TEST_F(HashFixture, RandomChurnMatchesReferenceSet) {
+  // Seeded insert/erase/extend/shrink churn; after every step the table
+  // must hold exactly the reference set, with per-level counts that match
+  // a scan.
+  std::mt19937_64 rng(20201207);
+  std::set<std::uint64_t> ref;
+  constexpr std::uint64_t kKeySpace = 4096;  // offsets 0, 32, ..., 32*4095
+  for (unsigned step = 0; step < 2000; ++step) {
+    const unsigned dice = rng() % 100;
+    if (dice < 55) {
+      const std::uint64_t off = (rng() % kKeySpace) * 32;
+      if (ref.count(off) == 0) {
+        MemblockRec* rec = table->insert(off, *undo);
+        if (rec == nullptr && table->try_extend(*undo)) {
+          rec = table->insert(off, *undo);
+        }
+        if (rec != nullptr) ref.insert(off);
+      }
+    } else if (dice < 95) {
+      if (!ref.empty()) {
+        auto it = ref.begin();
+        std::advance(it, rng() % ref.size());
+        MemblockRec* rec = table->find(*it);
+        ASSERT_NE(rec, nullptr) << step;
+        table->erase(rec, *undo);
+        ref.erase(it);
+      }
+    } else if (dice < 98) {
+      table->try_extend(*undo);
+    } else {
+      table->shrink_top_if_empty(*undo);
+    }
+    undo->commit();
+
+    ASSERT_EQ(table->record_count(), ref.size()) << step;
+    for (const std::uint64_t off : ref) {
+      MemblockRec* rec = table->find(off);
+      ASSERT_NE(rec, nullptr) << "step " << step << " off " << off;
+      ASSERT_EQ(rec->key, off + 1);
+    }
+    for (unsigned k = 0; k < 8; ++k) {
+      const std::uint64_t off = (rng() % kKeySpace) * 32;
+      ASSERT_EQ(table->find(off) != nullptr, ref.count(off) == 1)
+          << "step " << step << " off " << off;
+    }
+    for (unsigned lvl = 0; lvl < table->levels_active(); ++lvl) {
+      const MemblockRec* l = level_storage(lvl);
+      std::uint64_t n = 0;
+      for (std::uint64_t i = 0; i < level_slots(kLevel0, lvl); ++i) {
+        n += l[i].key != 0;
+      }
+      ASSERT_EQ(n, meta->level_count[lvl]) << "step " << step << " lvl " << lvl;
+    }
+  }
+  EXPECT_GT(table->levels_active(), 1u);  // the churn reached upper levels
 }
 
 }  // namespace

@@ -2,13 +2,19 @@
 // conversion, root object, sub-heap policies, fallback, stats, hole
 // punching, the registry and the C API of Fig. 5.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <cerrno>
+#include <csignal>
 #include <cstring>
 #include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "core/c_api.h"
 #include "core/heap.hpp"
 #include "core/registry.hpp"
@@ -57,11 +63,43 @@ TEST(Heap, CapacityAtLeastRequested) {
 TEST(Heap, OptionsValidated) {
   TempHeapPath path("badopts");
   Options bad = small_opts();
-  bad.level0_slots = 100;  // not a multiple of 256
+  bad.level0_slots = 100;  // not a power of two
+  EXPECT_THROW(Heap::create(path.str(), 1 << 20, bad), std::invalid_argument);
+  bad.level0_slots = 768;  // a multiple of 256, but not a power of two
   EXPECT_THROW(Heap::create(path.str(), 1 << 20, bad), std::invalid_argument);
   bad = small_opts();
   bad.nsubheaps = kMaxSubheaps + 1;
   EXPECT_THROW(Heap::create(path.str(), 1 << 20, bad), std::invalid_argument);
+}
+
+TEST(Heap, CreateBeyondFileSizeLimitThrowsEfbig) {
+  // Growing a file past the soft RLIMIT_FSIZE raises SIGXFSZ, which kills
+  // the process by default; create must report EFBIG instead.  Forked, so
+  // the lowered limit stays in the child.
+  TempHeapPath path("fsize_limit");
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    std::signal(SIGXFSZ, SIG_DFL);
+    const rlimit lim{4u << 20, RLIM_INFINITY};
+    if (::setrlimit(RLIMIT_FSIZE, &lim) != 0) ::_exit(3);
+    try {
+      Heap::create(path.str(), 8 << 20, small_opts());
+    } catch (const Error& e) {
+      const bool efbig = e.poseidon_code() == ErrorCode::kIo &&
+                         e.code().value() == EFBIG;
+      ::_exit(efbig ? 0 : 2);
+    } catch (...) {
+      ::_exit(4);
+    }
+    ::_exit(1);  // created a file beyond the limit
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child killed by signal "
+                                 << (WIFSIGNALED(status) ? WTERMSIG(status) : 0);
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_NE(::access(path.c_str(), F_OK), 0);  // nothing left behind
 }
 
 TEST(Heap, AllocDistinctWritableBlocks) {
