@@ -181,7 +181,7 @@ bool PoolShard::scavenge_subheap(unsigned idx, FsckReport* rep) {
   // would re-corrupt, so truncate (one generation bump).  The micro log is
   // kept — recovery replays it through the validated free path, which the
   // rebuilt table supports — unless its count itself is garbage.
-  pmem::nv_store_persist(m->undo.gen, m->undo.gen + 1);
+  pmem::nv_store_persist(m->undo_gen, m->undo_gen + 1);
   if (m->micro.count > kMicroCap) micro_truncate(m->micro);
 
   // Harvest candidate records from every level that could ever have been
@@ -263,8 +263,8 @@ bool PoolShard::scavenge_subheap(unsigned idx, FsckReport* rep) {
   fill_gap(sb_->user_size);
 
   // Rebuild from scratch: zero the whole hash region and the mutable meta,
-  // then insert the final block list (adjacency-chained, free lists
-  // rebuilt tail-append so delayed reuse survives the repair).
+  // then insert the final block list (free lists rebuilt tail-append so
+  // delayed reuse survives the repair).
   pmem::nv_memset(base() + m->hash_off, 0,
                   level_offset(sb_->level0_slots, sb_->levels_max));
   pmem::nv_memset(m->free_heads, 0, sizeof(m->free_heads));
@@ -279,8 +279,7 @@ bool PoolShard::scavenge_subheap(unsigned idx, FsckReport* rep) {
   pmem::nv_store(m->seal_csum_hash, std::uint64_t{0});
 
   HashTable table(m, base());
-  UndoLogger no_undo(m->undo, base(), /*enabled=*/false);
-  MemblockRec* prev = nullptr;
+  UndoLogger no_undo(m->undo_gen, m->undo, base(), /*enabled=*/false);
   MemblockRec* tails[kMaxClasses] = {};
   std::uint64_t live = 0, free_blocks = 0, bytes = 0;
   for (const Cand& c : final_blocks) {
@@ -294,20 +293,17 @@ bool PoolShard::scavenge_subheap(unsigned idx, FsckReport* rep) {
     }
     pmem::nv_store(rec->size_class, c.cls);
     pmem::nv_store(rec->status, c.status);
-    pmem::nv_store(rec->prev_adj, prev != nullptr ? prev->key : 0);
-    pmem::nv_store(rec->next_adj, std::uint64_t{0});
     pmem::nv_store(rec->prev_free, std::uint64_t{0});
     pmem::nv_store(rec->next_free, c.tag);
-    if (prev != nullptr) pmem::nv_store(prev->next_adj, rec->key);
-    prev = rec;
     if (c.status == kBlockFree) {
+      const std::uint64_t link = table.link_of(rec);
       if (tails[c.cls] == nullptr) {
-        pmem::nv_store(m->free_heads[c.cls].head, rec->key);
+        pmem::nv_store(m->free_heads[c.cls].head, link);
       } else {
-        pmem::nv_store(tails[c.cls]->next_free, rec->key);
-        pmem::nv_store(rec->prev_free, tails[c.cls]->key);
+        pmem::nv_store(tails[c.cls]->next_free, link);
+        pmem::nv_store(rec->prev_free, table.link_of(tails[c.cls]));
       }
-      pmem::nv_store(m->free_heads[c.cls].tail, rec->key);
+      pmem::nv_store(m->free_heads[c.cls].tail, link);
       tails[c.cls] = rec;
       ++free_blocks;
     } else {

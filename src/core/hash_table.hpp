@@ -20,6 +20,9 @@
 // drops to zero are deactivated top-down and their pages hole-punched back
 // to the filesystem (paper §5.6).
 //
+// A record stays in the slot it was inserted into until it is erased, so
+// the free lists link records by slot (link_of / at) rather than by offset.
+//
 // All mutations are undo-logged by the caller's UndoLogger; the sub-heap
 // lock serializes access.
 #pragma once
@@ -80,6 +83,26 @@ class HashTable {
         if (rec->key != 0) f(rec);
       }
     }
+  }
+
+  // Free-list links name slots: link_of(rec) is rec's slot index + 1 (0 is
+  // the null link) and at(link) the record there.  A keyed record never
+  // moves and only empty levels are deactivated, so a link held by a
+  // listed record stays valid until that record is erased.
+  std::uint64_t link_of(const MemblockRec* rec) const noexcept {
+    return static_cast<std::uint64_t>(rec - storage_) + 1;
+  }
+  MemblockRec* at(std::uint64_t link) const noexcept {
+    return storage_ + (link - 1);
+  }
+  // at() for validators, which must not trust the link: nullptr unless
+  // `link` names an occupied slot of an active level.
+  const MemblockRec* at_checked(std::uint64_t link) const noexcept {
+    const std::uint64_t active =
+        level_offset(meta_->level0_slots, meta_->levels_active) /
+        sizeof(MemblockRec);
+    if (link == 0 || link > active || at(link)->key == 0) return nullptr;
+    return at(link);
   }
 
   unsigned levels_active() const noexcept { return meta_->levels_active; }

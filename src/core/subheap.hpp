@@ -85,8 +85,10 @@ class Subheap {
   // Batched refill for the thread cache: pop up to `max_n` blocks of
   // exactly class `cls` under ONE undo commit, writing their offsets to
   // `out`.  `on_block` runs for each popped offset while the batch is
-  // still undo-protected — the thread cache persists its log entry there,
-  // so a crash either rolls every pop back or finds the blocks logged.
+  // still undo-protected — the thread cache writes and flushes its log
+  // entry there, and the commit's data fence retires it before the
+  // generation bump, so a crash either rolls every pop back or finds the
+  // blocks logged.
   // Stops early on class exhaustion or undo-capacity headroom; never
   // defragments (the miss path's slow alloc handles that).  If the hash
   // table rejects a split mid-batch the WHOLE batch rolls back and
@@ -116,8 +118,9 @@ class Subheap {
   std::uint64_t free_bytes() const noexcept;
   std::uint64_t largest_free_class() const noexcept;  // 0 = none
 
-  // Invariant checker for tests: walks free lists, adjacency chains and
-  // hash records; returns false (with a reason) on any inconsistency.
+  // Invariant checker for tests and fsck: walks the blocks by offset, the
+  // free lists by (range-checked) slot link, and the hash records; returns
+  // false (with a reason) on any inconsistency.
   bool check_invariants(std::string* why = nullptr) const;
 
   // Visit every memblock record (allocated and free).  Diagnostic use:

@@ -34,7 +34,7 @@ struct HashFixture : ::testing::Test {
     meta->hash_off = meta_bytes;
     meta->user_size = 1 << 20;
     table = std::make_unique<HashTable>(meta, buf);
-    undo = std::make_unique<UndoLogger>(meta->undo, buf, true);
+    undo = std::make_unique<UndoLogger>(meta->undo_gen, meta->undo, buf, true);
   }
   void TearDown() override { ::free(buf); }
 
@@ -188,7 +188,7 @@ TEST_F(HashFixture, UndoRollbackUndoesErase) {
   MemblockRec* rec = table->insert(96, *undo);
   rec->size_class = 5;
   undo->commit();
-  auto undo2 = UndoLogger(meta->undo, buf, true);
+  auto undo2 = UndoLogger(meta->undo_gen, meta->undo, buf, true);
   table->erase(rec, undo2);
   EXPECT_EQ(table->find(96), nullptr);
   undo2.rollback();

@@ -129,7 +129,7 @@ TEST(OnMediaStability, StructSizesAreFrozen) {
   // every existing pool file.  Bump kVersion when they must change.
   EXPECT_EQ(sizeof(NvPtr), 16u);
   EXPECT_EQ(sizeof(UndoEntry), 128u);
-  EXPECT_EQ(sizeof(MemblockRec), 48u);
+  EXPECT_EQ(sizeof(MemblockRec), 32u);
   EXPECT_EQ(sizeof(MicroLog), 8u + 16 * kMicroCap);
   EXPECT_EQ(sizeof(FreeListHead), 16u);
   EXPECT_EQ(sizeof(CacheLogSlot), 16u + 16 * kCacheLogCap);

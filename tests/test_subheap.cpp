@@ -228,6 +228,31 @@ TEST_F(SubheapFixture, UndoDisabledModeStillWorks) {
   expect_invariants();
 }
 
+TEST_F(SubheapFixture, CorruptFreeListLinkIsReportedNotFollowed) {
+  // Free-list links name hash slots; the checker must range-check a link
+  // and its slot's occupancy before it follows one.
+  ASSERT_TRUE(sh->alloc(100).has_value());  // 13 free buddies, one per class
+  const unsigned cls = 8;
+  const std::uint64_t head = meta->free_heads[cls].head;
+  ASSERT_NE(head, 0u);
+  MemblockRec* rec = sh->table().at(head);
+  ASSERT_EQ(rec->next_free, 0u);  // alone in its class
+  const std::uint64_t active_slots =
+      level_offset(meta->level0_slots, meta->levels_active) /
+      sizeof(MemblockRec);
+  std::uint64_t empty = 1;
+  while (sh->table().at(empty)->key != 0) ++empty;
+  for (const std::uint64_t bad : {active_slots + 1, std::uint64_t{1} << 40,
+                                  empty}) {
+    rec->next_free = bad;
+    std::string why;
+    EXPECT_FALSE(sh->check_invariants(&why)) << bad;
+    EXPECT_NE(why.find("dangles"), std::string::npos) << why;
+  }
+  rec->next_free = 0;
+  expect_invariants();
+}
+
 TEST_F(SubheapFixture, CappedTableTriggersWindowMergesWithoutDrift) {
   // Regression test: cap the hash table at one level so insert pressure is
   // permanent.  Splits then exercise the paper's §5.4 case 2 (merge free

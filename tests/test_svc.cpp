@@ -395,17 +395,37 @@ TEST(SvcServerClient, DeadServerIsUnavailableAndFailsOverReadOnly) {
 
 TEST(SvcServerClient, AttachAllocatorPrefersInProcessWhenLockIsFree) {
   TempHeapPath path("svc_attach_free");
-  {
-    auto server = svc::SvcServer::start(path.str(), two_shard_server());
-    server->stop();
-  }  // server destroyed: OFD locks released, segment left kDead on disk
-  iface::AllocatorConfig cfg;
-  auto a = iface::attach_allocator(path.str(), cfg);
-  ASSERT_NE(a, nullptr);
-  EXPECT_STREQ(a->name(), "poseidon");
-  void* p = a->alloc(128);
-  ASSERT_NE(p, nullptr);
-  EXPECT_TRUE(a->free(p));
+  // The heap work runs in a child, so that a crash in it still leaves this
+  // process to remove the two-shard heap files (TempHeapPath) and report.
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const auto work = [&]() -> int {
+      {
+        auto server = svc::SvcServer::start(path.str(), two_shard_server());
+        server->stop();
+      }  // server destroyed: OFD locks released, segment left kDead on disk
+      iface::AllocatorConfig cfg;
+      auto a = iface::attach_allocator(path.str(), cfg);
+      if (a == nullptr) return 2;
+      if (std::strcmp(a->name(), "poseidon") != 0) return 3;
+      void* p = a->alloc(128);
+      if (p == nullptr) return 4;
+      return a->free(p) ? 0 : 5;
+    };
+    int code = 6;
+    try {
+      code = work();
+    } catch (...) {
+    }
+    ::_exit(code);
+  }
+  const int status = reap(pid);
+  ASSERT_TRUE(WIFEXITED(status))
+      << "heap work died by signal "
+      << (WIFSIGNALED(status) ? WTERMSIG(status) : 0);
+  // 2: no allocator, 3: not the in-process one, 4: alloc, 5: free, 6: threw.
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 TEST(SvcServerClient, SvcAdapterForksServerAndServes) {

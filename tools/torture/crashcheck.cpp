@@ -557,10 +557,16 @@ int cc_run_sabotage(const Cfg& cfg) {
                 " explorer violations=%" PRIu64 " (distinct=%" PRIu64 ")\n",
                 nth, missing, st.violations, st.distinct);
     if (missing > 0 && !viols.empty()) {
-      (void)cc_report_violation(cfg, run, viols[0], /*save=*/true);
+      const std::string out =
+          cc_report_violation(cfg, run, viols[0], /*save=*/true);
       std::printf("PASS: elided persist #%" PRIu64
                   " caught by both the lint and the explorer\n", nth);
-      if (!cfg.keep) cc_unlink(run);
+      if (!cfg.keep) {
+        cc_unlink(run);
+        // The planted violation's replay file was expected; only one the
+        // caller asked for by name (--cc-out) outlives a pass.
+        if (cfg.cc_out.empty() && !out.empty()) (void)::unlink(out.c_str());
+      }
       return 0;
     }
     if (!cfg.keep) cc_unlink(run);
