@@ -26,7 +26,8 @@ using test::small_opts;
 using test::TempHeapPath;
 
 struct UndoArena {
-  core::UndoLogT<8> log;
+  std::uint64_t undo_gen;
+  core::UndoEntry undo[8];
   std::uint64_t words[16];
 };
 
@@ -35,7 +36,7 @@ TEST(UndoDedup, SameRangeSavedOnceProducesOneEntry) {
   std::memset(arena, 0, sizeof(UndoArena));
   auto* base = reinterpret_cast<std::byte*>(arena);
   {
-    core::UndoLogger undo(arena->log, base, true);
+    core::UndoLogger undo(arena->undo_gen, arena->undo, base, true);
     undo.save_obj(arena->words[0]);
     undo.save_obj(arena->words[0]);
     undo.save_obj(arena->words[0]);
@@ -53,14 +54,14 @@ TEST(UndoDedup, DedupKeepsOldestValue) {
   auto* base = reinterpret_cast<std::byte*>(arena);
   arena->words[0] = 111;
   {
-    core::UndoLogger undo(arena->log, base, true);
+    core::UndoLogger undo(arena->undo_gen, arena->undo, base, true);
     undo.save_obj(arena->words[0]);
     arena->words[0] = 222;
     undo.save_obj(arena->words[0]);  // deduped: must NOT capture 222
     arena->words[0] = 333;
     // Crash without commit:
   }
-  core::UndoLogger::replay(arena->log, base);
+  core::UndoLogger::replay(arena->undo_gen, arena->undo, base);
   EXPECT_EQ(arena->words[0], 111u) << "pre-operation value restored";
   ::free(arena);
 }
@@ -70,7 +71,7 @@ TEST(UndoDedup, DifferentLengthsAreDistinctEntries) {
   std::memset(arena, 0, sizeof(UndoArena));
   auto* base = reinterpret_cast<std::byte*>(arena);
   {
-    core::UndoLogger undo(arena->log, base, true);
+    core::UndoLogger undo(arena->undo_gen, arena->undo, base, true);
     undo.save(&arena->words[0], 8);
     undo.save(&arena->words[0], 16);  // same address, wider range
     EXPECT_EQ(undo.used(), 2u);

@@ -90,36 +90,38 @@ TEST(Robustness, UndoReplayIgnoresCorruptedLength) {
   // A crazy `len` in a log entry must not make replay scribble: the
   // valid-prefix scan stops at the first implausible entry.
   struct Arena {
-    core::UndoLogT<4> log;
+    std::uint64_t undo_gen;
+    core::UndoEntry undo[4];
     std::uint64_t words[8];
   } arena{};
   auto* base = reinterpret_cast<std::byte*>(&arena);
   arena.words[0] = 1;
   {
-    core::UndoLogger undo(arena.log, base, true);
+    core::UndoLogger undo(arena.undo_gen, arena.undo, base, true);
     undo.save_obj(arena.words[0]);
     arena.words[0] = 2;
     // Corrupt the entry length beyond the format maximum.
-    arena.log.entries[0].len = 5000;
+    arena.undo[0].len = 5000;
   }
-  core::UndoLogger::replay(arena.log, base);
+  core::UndoLogger::replay(arena.undo_gen, arena.undo, base);
   EXPECT_EQ(arena.words[0], 2u) << "implausible entry skipped, not applied";
 }
 
 TEST(Robustness, UndoReplayIgnoresForeignGeneration) {
   struct Arena {
-    core::UndoLogT<4> log;
+    std::uint64_t undo_gen;
+    core::UndoEntry undo[4];
     std::uint64_t words[8];
   } arena{};
   auto* base = reinterpret_cast<std::byte*>(&arena);
   arena.words[0] = 7;
   {
-    core::UndoLogger undo(arena.log, base, true);
+    core::UndoLogger undo(arena.undo_gen, arena.undo, base, true);
     undo.save_obj(arena.words[0]);
     arena.words[0] = 9;
-    arena.log.entries[0].gen += 40;  // entry claims a future generation
+    arena.undo[0].gen += 40;  // entry claims a future generation
   }
-  core::UndoLogger::replay(arena.log, base);
+  core::UndoLogger::replay(arena.undo_gen, arena.undo, base);
   EXPECT_EQ(arena.words[0], 9u);
 }
 

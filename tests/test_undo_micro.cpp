@@ -15,20 +15,24 @@ namespace {
 
 // A fake metadata arena: an undo log plus some payload words it protects.
 struct Arena {
-  UndoLogT<16> log;
+  std::uint64_t undo_gen;
+  UndoEntry undo[16];
   std::uint64_t words[64];
 };
 
 struct ArenaFixture : ::testing::Test {
   void SetUp() override {
-    arena = static_cast<Arena*>(::aligned_alloc(4096, sizeof(Arena) + 4096));
+    // aligned_alloc wants a size that is a multiple of the alignment.
+    constexpr std::size_t kSize =
+        (sizeof(Arena) + 2 * 4096 - 1) & ~std::size_t{4095};
+    arena = static_cast<Arena*>(::aligned_alloc(4096, kSize));
     std::memset(arena, 0, sizeof(Arena));
   }
   void TearDown() override { ::free(arena); }
 
   std::byte* base() { return reinterpret_cast<std::byte*>(arena); }
   UndoLogger logger(bool enabled = true) {
-    return UndoLogger(arena->log, base(), enabled);
+    return UndoLogger(arena->undo_gen, arena->undo, base(), enabled);
   }
 
   Arena* arena = nullptr;
@@ -40,7 +44,7 @@ TEST_F(ArenaFixture, CommitKeepsNewValues) {
   undo.save_obj(arena->words[0]);
   arena->words[0] = 2;
   undo.commit();
-  UndoLogger::replay(arena->log, base());  // empty after commit: no-op
+  UndoLogger::replay(arena->undo_gen, arena->undo, base());  // empty after commit: no-op
   EXPECT_EQ(arena->words[0], 2u);
 }
 
@@ -62,7 +66,7 @@ TEST_F(ArenaFixture, ReplayRestoresUncommitted) {
   undo.save_obj(arena->words[5]);
   arena->words[5] = 55;
   // No commit: simulate the crash by just replaying.
-  UndoLogger::replay(arena->log, base());
+  UndoLogger::replay(arena->undo_gen, arena->undo, base());
   EXPECT_EQ(arena->words[5], 50u);
 }
 
@@ -71,9 +75,9 @@ TEST_F(ArenaFixture, ReplayIsIdempotent) {
   auto undo = logger();
   undo.save_obj(arena->words[3]);
   arena->words[3] = 33;
-  UndoLogger::replay(arena->log, base());
-  UndoLogger::replay(arena->log, base());
-  UndoLogger::replay(arena->log, base());
+  UndoLogger::replay(arena->undo_gen, arena->undo, base());
+  UndoLogger::replay(arena->undo_gen, arena->undo, base());
+  UndoLogger::replay(arena->undo_gen, arena->undo, base());
   EXPECT_EQ(arena->words[3], 30u);
 }
 
@@ -84,7 +88,7 @@ TEST_F(ArenaFixture, OldestValueWinsWhenLoggedTwice) {
   arena->words[0] = 2;
   undo.save_obj(arena->words[0]);  // duplicate save of newer value
   arena->words[0] = 3;
-  UndoLogger::replay(arena->log, base());
+  UndoLogger::replay(arena->undo_gen, arena->undo, base());
   EXPECT_EQ(arena->words[0], 1u);  // pre-operation state
 }
 
@@ -98,7 +102,7 @@ TEST_F(ArenaFixture, GenerationIsolatesOldEntries) {
   }
   // A stale entry from the previous generation must not be replayed.
   arena->words[0] = 3;
-  UndoLogger::replay(arena->log, base());
+  UndoLogger::replay(arena->undo_gen, arena->undo, base());
   EXPECT_EQ(arena->words[0], 3u);
 }
 
@@ -112,8 +116,8 @@ TEST_F(ArenaFixture, CorruptEntryChecksumStopsReplay) {
   arena->words[1] = 9;
   // Corrupt the *first* entry: replay must treat the log as empty from
   // there (valid-prefix rule), so nothing gets restored.
-  arena->log.entries[0].data[0] ^= 0xff;
-  UndoLogger::replay(arena->log, base());
+  arena->undo[0].data[0] ^= 0xff;
+  UndoLogger::replay(arena->undo_gen, arena->undo, base());
   EXPECT_EQ(arena->words[0], 9u);
   EXPECT_EQ(arena->words[1], 9u);
 }
@@ -145,7 +149,7 @@ TEST_F(ArenaFixture, SimulatedCrashMidOperation) {
   }
   sim.crash(7, /*survive_prob=*/0.0);  // drop all unflushed lines
   // The in-place mutation was unflushed -> lost; entry was persisted.
-  UndoLogger::replay(arena->log, base());
+  UndoLogger::replay(arena->undo_gen, arena->undo, base());
   EXPECT_EQ(arena->words[0], 100u);
 }
 
@@ -162,7 +166,7 @@ TEST_F(ArenaFixture, SimulatedCrashAfterPersistedMutation) {
     // crash before commit
   }
   sim.crash(8, 0.0);
-  UndoLogger::replay(arena->log, base());
+  UndoLogger::replay(arena->undo_gen, arena->undo, base());
   EXPECT_EQ(arena->words[0], 100u);  // uncommitted -> rolled back
 }
 
